@@ -149,9 +149,8 @@ Result<std::unique_ptr<Grid>> GridBuilder::build() {
     }
   }
 
-  // Proxies — one per shard. Each shard's data-plane knobs are remembered
-  // so the node agents below mirror them — a tracking sender whose
-  // receiver never acks would retransmit forever.
+  // Proxies — one per shard. Each shard's data-link tuning is remembered
+  // so the node agents homed on it below use the same.
   for (const auto& shard : proxy_order) {
     const crypto::RsaKeyPair keys = crypto::rsa_generate(key_bits_, rng);
     proxy::ProxyConfig config;
@@ -168,10 +167,7 @@ Result<std::unique_ptr<Grid>> GridBuilder::build() {
     config.rng_seed = rng.next_u64();
     config.mode = mode_;
     if (configure_proxy_) configure_proxy_(config);
-    grid->data_plane_[shard] = Grid::DataPlaneKnobs{
-        config.mpi_reliable && config.mpi_batch_flush_interval > 0,
-        config.mpi_ack_rto_initial, config.mpi_ack_rto_max,
-        config.mpi_inflight_max_bytes};
+    grid->data_plane_[shard] = config.mpi_link;
     grid->proxies_[shard] =
         std::make_unique<proxy::ProxyServer>(std::move(config));
   }
@@ -293,10 +289,7 @@ Status Grid::home_node(const std::string& site, const std::string& shard,
   agent_config.encrypted = encrypted;
   agent_config.clock = &clock_;
   agent_config.rng_seed = rng.next_u64();
-  agent_config.reliable = data_plane_.at(shard).reliable;
-  agent_config.ack_rto_initial = data_plane_.at(shard).ack_rto_initial;
-  agent_config.ack_rto_max = data_plane_.at(shard).ack_rto_max;
-  agent_config.inflight_max_bytes = data_plane_.at(shard).inflight_max_bytes;
+  agent_config.link = data_plane_.at(shard);
   if (encrypted) {
     const crypto::RsaKeyPair keys = crypto::rsa_generate(key_bits_, rng);
     agent_config.gssl = tls::GsslConfig{
@@ -696,6 +689,9 @@ void Grid::shutdown() {
     reconnect_cv_.notify_all();
     reconnect_thread_.join();
   }
+  // An orderly teardown, not an outage: every proxy learns so before the
+  // first link closes, and logs the closures quietly.
+  for (auto& [site, proxy_server] : proxies_) proxy_server->begin_shutdown();
   // Agents first (they join application runners), then proxies.
   for (auto& [site, nodes] : agents_) {
     for (auto& [node, agent] : nodes) agent->shutdown();

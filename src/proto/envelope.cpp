@@ -22,7 +22,6 @@ const char* opcode_name(OpCode op) {
     case OpCode::kJobQuery: return "job_query";
     case OpCode::kMpiOpen: return "mpi_open";
     case OpCode::kMpiOpenAck: return "mpi_open_ack";
-    case OpCode::kMpiData: return "mpi_data";
     case OpCode::kMpiClose: return "mpi_close";
     case OpCode::kMpiStart: return "mpi_start";
     case OpCode::kMpiDone: return "mpi_done";

@@ -12,13 +12,12 @@
 
 namespace pg::proto {
 
-/// Version 2 added the trace-context pair; version 3 added the kMpiBatch
-/// data-plane op; version 4 added kMpiBatchAck (the reliable data plane);
-/// version 5 added kShardStatus (sharded proxy tier — see docs/PROTOCOL.md).
-/// The header layout is unchanged since v2, so all of
-/// [kMinProtocolVersion, kProtocolVersion] are accepted at parse time.
+/// Version 5: trace context in the header, kMpiBatch/kMpiBatchAck as the
+/// only data plane, kShardStatus for the sharded proxy tier (see
+/// docs/PROTOCOL.md). The grid ships as one build, so the parser accepts
+/// exactly the version it speaks.
 constexpr std::uint8_t kProtocolVersion = 5;
-constexpr std::uint8_t kMinProtocolVersion = 2;
+constexpr std::uint8_t kMinProtocolVersion = kProtocolVersion;
 
 /// Well-known operation codes. The space is open: proxies route unknown
 /// codes to registered extension handlers (see Dispatcher) instead of
@@ -54,7 +53,6 @@ enum class OpCode : std::uint16_t {
   // Layer 4: MPI support
   kMpiOpen = 40,
   kMpiOpenAck = 41,
-  kMpiData = 42,
   kMpiClose = 43,
   /// Second phase of application launch: sent only after every site acked
   /// kMpiOpen, so routing tables exist everywhere before any rank runs.
@@ -65,17 +63,17 @@ enum class OpCode : std::uint16_t {
   /// node hosting ranks of the app. The origin fails the run with a
   /// retryable error so the job layer can re-dispatch it.
   kMpiAbort = 46,
-  /// Coalesced MPI data frames (protocol v3): one envelope — one sealed
-  /// record on GSSL links — carrying many MpiData-equivalent frames bound
-  /// for the same destination, each addressable to multiple ranks (the
-  /// site-aware collective fan-out). Payload is proto::MpiBatch.
+  /// MPI data, the only data-plane op: one envelope — one sealed record on
+  /// GSSL links — carrying one or more frames bound for the same link,
+  /// each addressable to multiple ranks (the site-aware collective
+  /// fan-out). Payload is proto::MpiBatch.
   kMpiBatch = 47,
-  /// Receiver -> sender acknowledgement of kMpiBatch deliveries (protocol
-  /// v4): cumulative + selective (origin, seq) coverage, so senders can
-  /// release their in-flight window and retransmit only what was lost.
-  /// Payload is proto::MpiBatchAck. Unacknowledged batches retransmit on
-  /// an RTO timer — the at-least-once half of the effectively-exactly-once
-  /// data plane (the dedup window is the at-most-once half).
+  /// Receiver -> sender acknowledgement of kMpiBatch deliveries:
+  /// cumulative + selective (origin, seq) coverage, so senders can release
+  /// their in-flight window and retransmit only what was lost. Payload is
+  /// proto::MpiBatchAck. Unacknowledged batches retransmit on an RTO timer
+  /// — the at-least-once half of the effectively-exactly-once data plane
+  /// (the receiver's coverage record is the at-most-once half).
   kMpiBatchAck = 48,
 
   // Tunneling (explicit secure channels for site nodes)

@@ -189,17 +189,6 @@ struct MpiOpenAck {
   static Result<MpiOpenAck> parse(BytesView data);
 };
 
-struct MpiData {
-  std::uint64_t app_id = 0;
-  std::uint32_t src_rank = 0;
-  std::uint32_t dst_rank = 0;
-  std::uint32_t tag = 0;
-  Bytes payload;
-
-  Bytes serialize() const;
-  static Result<MpiData> parse(BytesView data);
-};
-
 /// One logical MPI message inside a kMpiBatch envelope. `dst_ranks` with
 /// more than one entry is a fan-out frame: the payload travels the link
 /// once and the receiver delivers it to every listed rank (the proxy's
@@ -214,15 +203,16 @@ struct MpiFrame {
   friend bool operator==(const MpiFrame&, const MpiFrame&) = default;
 };
 
-/// kMpiBatch payload: MpiData-equivalent frames coalesced into one
-/// envelope / one sealed record per link flush. (origin, seq) identifies
-/// the batch so receivers can drop a duplicated or retransmitted batch
-/// after the first delivery.
+/// kMpiBatch payload: frames coalesced into one envelope / one sealed
+/// record per link flush. (origin, seq) identifies the batch so receivers
+/// can drop a duplicated or retransmitted batch after the first delivery.
+/// A batch may carry no frames: a sender keeps a batch whose apps all
+/// closed in flight that way, so the receiver's coverage has no gap.
 struct MpiBatch {
   /// Sender identity, unique per process: a proxy uses its site name, a
   /// node agent "<site>/<node>".
   std::string origin;
-  /// Monotonic per sender; receivers keep a per-origin window of seen ids.
+  /// Numbered from 1 per origin; receivers keep per-origin coverage.
   std::uint64_t seq = 0;
   std::vector<MpiFrame> frames;
 

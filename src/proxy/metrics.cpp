@@ -18,7 +18,7 @@ constexpr proto::OpCode kCountedOps[] = {
     proto::OpCode::kShardStatus, proto::OpCode::kAuthRequest,
     proto::OpCode::kJobSubmit,
     proto::OpCode::kJobQuery,    proto::OpCode::kMpiOpen,
-    proto::OpCode::kMpiStart,    proto::OpCode::kMpiData,
+    proto::OpCode::kMpiStart,
     proto::OpCode::kMpiBatch,    proto::OpCode::kMpiBatchAck,
     proto::OpCode::kMpiClose,    proto::OpCode::kMpiDone,
     proto::OpCode::kTunnelOpen,  proto::OpCode::kTunnelData,
@@ -83,7 +83,7 @@ ProxyInstruments::ProxyInstruments(const std::string& site)
           "MPI data frames coalesced into kMpiBatch envelopes", site)),
       mpi_batch_duplicates(site_counter(
           "pg_mpi_batch_duplicates_total",
-          "Duplicate kMpiBatch envelopes dropped by the dedup window", site)),
+          "Duplicate kMpiBatch envelopes dropped by the receiver coverage record", site)),
       mpi_fanout(site_counter(
           "pg_mpi_fanout_total",
           "Logical MPI deliveries fanned out from batch frames", site)),

@@ -86,7 +86,7 @@ class ProxyInstruments {
   telemetry::Counter& mpi_bytes_remote;
   /// Data frames coalesced into kMpiBatch envelopes (pg_mpi_batch_messages).
   telemetry::Counter& mpi_batch_messages;
-  /// Duplicate kMpiBatch envelopes dropped by the dedup window.
+  /// Duplicate kMpiBatch envelopes dropped by the receiver coverage record.
   telemetry::Counter& mpi_batch_duplicates;
   /// Logical deliveries produced by fanning out batch frames
   /// (pg_mpi_fanout_total).

@@ -114,6 +114,7 @@ Status ProxyServer::attach_node(const std::string& node_name,
       return error(ErrorCode::kAlreadyExists,
                    "node already attached: " + node_name);
     nodes_[node_name] = std::move(conn);
+    node_links_[node_name] = make_link(LinkKind::kNode, node_name);
     conns_generation_.fetch_add(1, std::memory_order_release);
   }
   instruments_.open_connections.add(1);
@@ -169,6 +170,8 @@ Status ProxyServer::connect_peer(const std::string& peer_site,
       peers_.erase(existing);
     }
     peers_[peer_site] = std::move(conn);
+    auto& link = site_links_[peer_site];
+    if (link == nullptr) link = make_link(LinkKind::kSite, peer_site);
     conns_generation_.fetch_add(1, std::memory_order_release);
   }
   instruments_.open_connections.add(1);
@@ -629,30 +632,18 @@ void ProxyServer::close_app_locally(std::uint64_t app_id) {
   }
   // Stop retrying the app's unacked frames: close only happens once the app
   // is globally done or aborted, so no rank anywhere still needs the data.
-  if (reliable_data_plane()) {
-    std::vector<std::shared_ptr<SenderWindow>> windows;
-    {
-      std::lock_guard<std::mutex> lock(windows_mutex_);
-      for (const auto& [name, window] : site_windows_)
-        windows.push_back(window);
-      for (const auto& [name, window] : node_windows_)
-        windows.push_back(window);
-    }
-    std::size_t frames = 0;
-    std::size_t bytes = 0;
-    for (const auto& window : windows) {
-      const SenderWindow::DropOutcome dropped = window->drop_app(app_id);
-      frames += dropped.frames;
-      bytes += dropped.bytes;
-    }
-    instruments_.frames_dropped(DropReason::kAppClosed, frames);
-    if (bytes > 0)
-      instruments_.mpi_inflight_bytes.add(-static_cast<std::int64_t>(bytes));
+  std::vector<std::shared_ptr<ReliableLink>> links;
+  {
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    for (const auto& [name, link] : site_links_) links.push_back(link);
+    for (const auto& [name, link] : node_links_) links.push_back(link);
   }
+  std::size_t frames = 0;
+  for (const auto& link : links) frames += link->drop_app(app_id);
+  instruments_.frames_dropped(DropReason::kAppClosed, frames);
   // Push out any frames still queued for peer sites: ranks elsewhere may be
   // blocked on data sent just before this site's share of the app ended.
-  if (config_.mpi_batch_flush_interval > 0)
-    flush_batches(FlushReason::kTeardown);
+  flush_batches(FlushReason::kTeardown);
 }
 
 void ProxyServer::site_finished(std::uint64_t app_id, const std::string& site,
@@ -682,13 +673,9 @@ void ProxyServer::fail_run(std::uint64_t app_id, const Status& reason) {
 void ProxyServer::handle_peer(const proto::Envelope& envelope,
                               Connection& conn) {
   instruments_.op_received(envelope.op).increment();
-  if (envelope.op == proto::OpCode::kMpiData) {
-    // Hot path: counters only — no span, no dispatch timer.
-    route_mpi_data(envelope);
-    return;
-  }
   if (envelope.op == proto::OpCode::kMpiBatch) {
-    handle_mpi_batch(envelope, conn);  // hot path too
+    // Hot path: counters only — no span, no dispatch timer.
+    handle_mpi_batch(envelope, conn);
     return;
   }
   if (envelope.op == proto::OpCode::kMpiBatchAck) {
@@ -787,13 +774,9 @@ void ProxyServer::handle_node(const std::string& node,
                               const proto::Envelope& envelope,
                               Connection& conn) {
   instruments_.op_received(envelope.op).increment();
-  if (envelope.op == proto::OpCode::kMpiData) {
-    // Hot path: counters only — no dispatch timer.
-    route_mpi_data(envelope);
-    return;
-  }
   if (envelope.op == proto::OpCode::kMpiBatch) {
-    handle_mpi_batch(envelope, conn);  // hot path too
+    // Hot path: counters only — no dispatch timer.
+    handle_mpi_batch(envelope, conn);
     return;
   }
   if (envelope.op == proto::OpCode::kMpiBatchAck) {
@@ -955,61 +938,6 @@ bool ProxyServer::resolve_rank_route(std::uint64_t app_id,
   return true;
 }
 
-void ProxyServer::route_mpi_data(const proto::Envelope& envelope) {
-  Result<proto::MpiData> data = proto::MpiData::parse(envelope.payload);
-  if (!data.is_ok()) {
-    PG_WARN << config_.site << ": dropping malformed MpiData";
-    return;
-  }
-
-  bool local = false;
-  std::string target;
-  Connection* conn = nullptr;
-  if (!resolve_rank_route(data.value().app_id, data.value().dst_rank, local,
-                          target, conn)) {
-    PG_WARN << config_.site << ": MpiData for unknown app "
-            << data.value().app_id << " / rank " << data.value().dst_rank;
-    return;
-  }
-
-  if (local) {
-    if (conn != nullptr) {
-      (void)conn->notify(proto::OpCode::kMpiData, envelope.payload);
-      instruments_.mpi_messages_local.increment();
-      instruments_.mpi_bytes_local.increment(data.value().payload.size());
-      instruments_.mpi_message_bytes_local.observe(
-          static_cast<double>(data.value().payload.size()));
-    }
-    return;
-  }
-
-  if (config_.mpi_batch_flush_interval > 0) {
-    // Remote singles go through the per-site batcher: an idle link flushes
-    // the frame immediately; under bursts, same-site frames coalesce into
-    // one sealed record. The original payload rides along so a lone frame
-    // still leaves as plain kMpiData with zero re-serialization.
-    proto::MpiFrame frame;
-    frame.app_id = data.value().app_id;
-    frame.src_rank = data.value().src_rank;
-    frame.tag = data.value().tag;
-    frame.dst_ranks = {data.value().dst_rank};
-    frame.payload = std::move(data.value().payload);
-    enqueue_remote_frame(target, std::move(frame),
-                         Bytes(envelope.payload.begin(),
-                               envelope.payload.end()));
-    return;
-  }
-  if (conn != nullptr) {
-    (void)conn->notify(proto::OpCode::kMpiData, envelope.payload);
-    instruments_.mpi_messages_remote.increment();
-    instruments_.mpi_bytes_remote.increment(data.value().payload.size());
-    instruments_.mpi_message_bytes_remote.observe(
-        static_cast<double>(data.value().payload.size()));
-  } else {
-    PG_WARN << config_.site << ": no route to site " << target;
-  }
-}
-
 void ProxyServer::handle_mpi_batch(const proto::Envelope& envelope,
                                    Connection& conn) {
   Result<proto::MpiBatch> batch = proto::MpiBatch::parse(envelope.payload);
@@ -1017,25 +945,19 @@ void ProxyServer::handle_mpi_batch(const proto::Envelope& envelope,
     PG_WARN << config_.site << ": dropping malformed MpiBatch";
     return;
   }
-  if (batch_dedup_.seen_before(batch.value().origin, batch.value().seq)) {
+  const BatchCoverage::Verdict verdict =
+      coverage_.record(batch.value().origin, batch.value().seq);
+  if (verdict.duplicate) {
     instruments_.mpi_batch_duplicates.increment();
   } else {
     for (proto::MpiFrame& frame : batch.value().frames) {
       route_mpi_frame(std::move(frame));
     }
   }
-  if (reliable_data_plane()) {
-    // Ack after delivery — duplicates included: a duplicate means the
-    // original's ack was lost (or still in flight), and re-acking is what
-    // stops the sender's retransmit loop. record() is idempotent per seq.
-    const AckCoverage cov =
-        ack_tracker_.record(batch.value().origin, batch.value().seq);
-    proto::MpiBatchAck ack;
-    ack.origin = batch.value().origin;
-    ack.cumulative = cov.cumulative;
-    ack.selective = cov.selective;
-    (void)conn.notify(proto::OpCode::kMpiBatchAck, ack.serialize());
-  }
+  // Ack after delivery — duplicates included: a duplicate means the
+  // original's ack was lost (or still in flight), and re-acking is what
+  // stops the sender's retransmit loop.
+  (void)conn.notify(proto::OpCode::kMpiBatchAck, verdict.ack.serialize());
 }
 
 void ProxyServer::handle_mpi_batch_ack(const proto::Envelope& envelope,
@@ -1043,43 +965,31 @@ void ProxyServer::handle_mpi_batch_ack(const proto::Envelope& envelope,
                                        const std::string& link) {
   Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(envelope.payload);
   if (!ack.is_ok()) return;
-  // Only acks for this proxy's own stream move a window; anything else (a
-  // crafted or replayed origin the receiver dutifully acked) is noise.
-  if (ack.value().origin != config_.site) return;
-  const std::shared_ptr<SenderWindow> window = find_window(kind, link);
-  if (window == nullptr) return;
-  const AckOutcome out = window->on_ack(
-      ack.value().cumulative, ack.value().selective, steady_micros());
-  if (out.released == 0) return;
-  instruments_.mpi_inflight_bytes.add(
-      -static_cast<std::int64_t>(out.released_bytes));
-  for (const std::uint64_t rtt : out.rtt_samples)
-    instruments_.mpi_ack_rtt_micros.observe(static_cast<double>(rtt));
+  const std::shared_ptr<ReliableLink> data = data_link(kind, link);
+  if (data == nullptr || data->on_ack(ack.value()) == 0) return;
   // Released window space may unblock a queue deferred by congestion.
   if (kind == LinkKind::kSite) drain_if_window_open(link);
 }
 
-std::shared_ptr<SenderWindow> ProxyServer::link_window(
-    LinkKind kind, const std::string& name) {
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  auto& window =
-      (kind == LinkKind::kSite ? site_windows_ : node_windows_)[name];
-  if (window == nullptr) {
-    SenderWindowConfig wc;
-    wc.rto_initial_micros = config_.mpi_ack_rto_initial;
-    wc.rto_max_micros = config_.mpi_ack_rto_max;
-    wc.budget_max_bytes = config_.mpi_inflight_max_bytes;
-    window = std::make_shared<SenderWindow>(wc);
-  }
-  return window;
+std::shared_ptr<ReliableLink> ProxyServer::make_link(LinkKind kind,
+                                                     const std::string& name) {
+  const auto resolve = [this, kind, name] {
+    return kind == LinkKind::kSite ? peer_connection(name)
+                                   : node_connection(name);
+  };
+  return std::make_shared<ReliableLink>(
+      config_.mpi_link, config_.site, resolve,
+      LinkInstruments{instruments_.mpi_retransmits,
+                      instruments_.mpi_ack_rtt_micros,
+                      instruments_.mpi_inflight_bytes});
 }
 
-std::shared_ptr<SenderWindow> ProxyServer::find_window(
+std::shared_ptr<ReliableLink> ProxyServer::data_link(
     LinkKind kind, const std::string& name) const {
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  const auto& map = kind == LinkKind::kSite ? site_windows_ : node_windows_;
-  const auto it = map.find(name);
-  return it == map.end() ? nullptr : it->second;
+  std::lock_guard<std::mutex> lock(conns_mutex_);
+  const auto& links = kind == LinkKind::kSite ? site_links_ : node_links_;
+  const auto it = links.find(name);
+  return it == links.end() ? nullptr : it->second;
 }
 
 void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
@@ -1112,16 +1022,10 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
       PG_WARN << config_.site << ": no link to node " << node;
       continue;
     }
-    // Reliable links draw their seq from the link's own sender window so the
-    // node observes a contiguous per-origin stream (cumulative acks work);
-    // the shared batch_seq_ counter remains for unreliable operation only.
-    const std::shared_ptr<SenderWindow> window =
-        reliable_data_plane() ? link_window(LinkKind::kNode, node) : nullptr;
+    const std::shared_ptr<ReliableLink> link =
+        data_link(LinkKind::kNode, node);
+    if (link == nullptr) continue;  // the node died; its link went with it
     proto::MpiBatch out;
-    out.origin = config_.site;
-    out.seq = window != nullptr
-                  ? window->next_seq()
-                  : batch_seq_.fetch_add(1, std::memory_order_relaxed);
     proto::MpiFrame fanned;
     fanned.app_id = frame.app_id;
     fanned.src_rank = frame.src_rank;
@@ -1130,15 +1034,7 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
     fanned.payload = frame.payload;
     instruments_.mpi_fanout.increment(fanned.dst_ranks.size());
     out.frames.push_back(std::move(fanned));
-    const Bytes wire = out.serialize();
-    if (window != nullptr) {
-      // Track before sending: the ack may race back on another thread.
-      window->track(out.seq, wire, {{frame.app_id, 1}}, steady_micros());
-      instruments_.mpi_inflight_bytes.add(
-          static_cast<std::int64_t>(wire.size()));
-      schedule_retransmit();
-    }
-    (void)conn->notify(proto::OpCode::kMpiBatch, wire);
+    (void)link->send(*conn, out, {{frame.app_id, 1}});
     instruments_.mpi_messages_local.increment();
     instruments_.mpi_bytes_local.increment(frame.payload.size());
     instruments_.mpi_message_bytes_local.observe(
@@ -1153,17 +1049,17 @@ void ProxyServer::route_mpi_frame(proto::MpiFrame frame) {
     forward.dst_ranks = std::move(dsts);
     forward.payload = frame.payload;
     instruments_.mpi_fanout.increment(forward.dst_ranks.size());
-    enqueue_remote_frame(site, std::move(forward), {});
+    enqueue_remote_frame(site, std::move(forward));
   }
 }
 
 void ProxyServer::enqueue_remote_frame(const std::string& site,
-                                       proto::MpiFrame frame, Bytes raw) {
+                                       proto::MpiFrame frame) {
   instruments_.mpi_batch_messages.increment();
   std::unique_lock<std::mutex> lock(batch_mutex_);
   SiteBatch& batch = batches_[site];
   batch.bytes += frame.payload.size();
-  QueuedFrame queued{std::move(frame), std::move(raw)};
+  QueuedFrame queued{std::move(frame)};
   // Lane split: small frames (barriers, acks, control-sized payloads) jump
   // ahead of bulk transfers so a 16 MiB send can't head-of-line-block them.
   queued.latency = queued.frame.payload.size() <= config_.mpi_latency_lane_bytes;
@@ -1177,10 +1073,9 @@ void ProxyServer::enqueue_remote_frame(const std::string& site,
 void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
                                     const std::string& site,
                                     FlushReason trigger) {
-  // Lock order: batch_mutex_ is held; link_window takes windows_mutex_ —
-  // that nesting is the sanctioned direction (never the reverse).
-  const std::shared_ptr<SenderWindow> window =
-      reliable_data_plane() ? link_window(LinkKind::kSite, site) : nullptr;
+  // Lock order: batch_mutex_ is held; data_link takes conns_mutex_ and the
+  // link its own lock — that nesting is the sanctioned direction.
+  const std::shared_ptr<ReliableLink> link = data_link(LinkKind::kSite, site);
   bool first = true;
   for (;;) {
     SiteBatch& batch = batches_[site];
@@ -1190,7 +1085,7 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
       return;
     }
 
-    if (window != nullptr && !window->can_send(1)) {
+    if (link != nullptr && !link->can_send()) {
       // Congestion: the link's in-flight bytes exceed its AIMD budget.
       // Park the queue; an ack (drain_if_window_open) or the interval
       // flusher resumes it.
@@ -1204,8 +1099,8 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
     // first so barriers and small sends overtake queued bulk data. The byte
     // budget shrinks to the congestion window's current chunk size.
     const std::size_t max_bytes =
-        window != nullptr
-            ? std::min(config_.mpi_batch_max_bytes, window->budget_bytes())
+        link != nullptr
+            ? std::min(config_.mpi_batch_max_bytes, link->budget_bytes())
             : config_.mpi_batch_max_bytes;
     std::vector<QueuedFrame> chunk;
     std::size_t chunk_bytes = 0;
@@ -1238,10 +1133,10 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
     // thread the queue's only drainer meanwhile.
     lock.unlock();
     Connection* conn = peer_connection(site);
-    if (conn == nullptr || !conn->alive()) {
+    if (link == nullptr || conn == nullptr || !conn->alive()) {
       lock.lock();
       if (trigger == FlushReason::kTeardown) {
-        // Match the unbatched path: a send to a dead site vanishes.
+        // Nobody will retry a teardown flush: a send to a dead site vanishes.
         instruments_.frames_dropped(DropReason::kLinkDown, chunk.size());
         continue;
       }
@@ -1260,33 +1155,14 @@ void ProxyServer::drain_site_locked(std::unique_lock<std::mutex>& lock,
       return;
     }
 
-    if (window == nullptr && chunk.size() == 1 && !chunk[0].raw.empty()) {
-      // Lone plain data message: forward the original kMpiData payload.
-      // Only when reliability is off — tracked sends must be kMpiBatch so
-      // the receiver acks them by (origin, seq).
-      (void)conn->notify(proto::OpCode::kMpiData, chunk[0].raw);
-    } else {
-      proto::MpiBatch out;
-      out.origin = config_.site;
-      out.seq = window != nullptr
-                    ? window->next_seq()
-                    : batch_seq_.fetch_add(1, std::memory_order_relaxed);
-      out.frames.reserve(chunk.size());
-      std::map<std::uint64_t, std::size_t> per_app;
-      for (QueuedFrame& queued : chunk) {
-        ++per_app[queued.frame.app_id];
-        out.frames.push_back(std::move(queued.frame));
-      }
-      const Bytes wire = out.serialize();
-      if (window != nullptr) {
-        // Track before sending: the ack may race back on another thread.
-        window->track(out.seq, wire, std::move(per_app), steady_micros());
-        instruments_.mpi_inflight_bytes.add(
-            static_cast<std::int64_t>(wire.size()));
-        schedule_retransmit();
-      }
-      (void)conn->notify(proto::OpCode::kMpiBatch, wire);
+    proto::MpiBatch out;
+    out.frames.reserve(chunk.size());
+    std::map<std::uint64_t, std::size_t> per_app;
+    for (QueuedFrame& queued : chunk) {
+      ++per_app[queued.frame.app_id];
+      out.frames.push_back(std::move(queued.frame));
     }
+    (void)link->send(*conn, out, std::move(per_app));
     instruments_.mpi_messages_remote.increment();
     instruments_.mpi_bytes_remote.increment(chunk_bytes);
     instruments_.mpi_message_bytes_remote.observe(
@@ -1308,7 +1184,7 @@ void ProxyServer::flush_batches(FlushReason reason) {
 }
 
 void ProxyServer::schedule_flusher_locked() {
-  if (flusher_scheduled_ || config_.mpi_batch_flush_interval <= 0) return;
+  if (flusher_scheduled_) return;
   if (shut_down_.load(std::memory_order_acquire)) return;
   const TimeMicros now = steady_micros();
   TimeMicros next = 0;
@@ -1355,65 +1231,6 @@ void ProxyServer::drain_if_window_open(const std::string& site) {
   it->second.flushing = true;
   it->second.deadline = 0;
   drain_site_locked(lock, site, FlushReason::kWindow);
-}
-
-void ProxyServer::schedule_retransmit() {
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  schedule_retransmit_locked();
-}
-
-void ProxyServer::schedule_retransmit_locked() {
-  if (retrans_scheduled_ || !reliable_data_plane()) return;
-  if (shut_down_.load(std::memory_order_acquire)) return;
-  TimeMicros next = 0;
-  const auto consider = [&next](const auto& windows) {
-    for (const auto& [name, window] : windows) {
-      const std::uint64_t deadline = window->next_deadline();
-      if (deadline != 0 && (next == 0 || deadline < next)) next = deadline;
-    }
-  };
-  consider(site_windows_);
-  consider(node_windows_);
-  if (next == 0) return;  // nothing in flight, no timer needed
-  const TimeMicros now = steady_micros();
-  retrans_scheduled_ = true;
-  retrans_timer_ = net::Reactor::global().schedule_timer(
-      next > now ? next - now : TimeMicros{1}, [this] { retransmit_fire(); });
-}
-
-void ProxyServer::retransmit_fire() {
-  std::vector<std::tuple<LinkKind, std::string, std::shared_ptr<SenderWindow>>>
-      windows;
-  {
-    std::lock_guard<std::mutex> lock(windows_mutex_);
-    retrans_scheduled_ = false;
-    retrans_timer_ = 0;
-    if (shut_down_.load(std::memory_order_acquire)) return;
-    for (const auto& [name, window] : site_windows_)
-      windows.emplace_back(LinkKind::kSite, name, window);
-    for (const auto& [name, window] : node_windows_)
-      windows.emplace_back(LinkKind::kNode, name, window);
-  }
-  const TimeMicros now = steady_micros();
-  for (const auto& [kind, name, window] : windows) {
-    const std::vector<Retransmit> due = window->take_due(now);
-    if (due.empty()) continue;
-    // Re-resolve the connection at fire time so a retransmission after an
-    // auto-reconnect lands on the fresh link. A dead link keeps the entries
-    // armed; backoff paces the retries until the link revives or the app
-    // closes.
-    Connection* conn = kind == LinkKind::kSite ? peer_connection(name)
-                                               : node_connection(name);
-    if (conn == nullptr || !conn->alive()) continue;
-    for (const Retransmit& r : due) {
-      // Deliberately not counted in mpi_messages_*: retransmissions are a
-      // reliability artifact, not new routed traffic.
-      instruments_.mpi_retransmits.increment();
-      (void)conn->notify(proto::OpCode::kMpiBatch, r.wire);
-    }
-  }
-  std::lock_guard<std::mutex> lock(windows_mutex_);
-  schedule_retransmit_locked();
 }
 
 void ProxyServer::handle_mpi_done_from_node(const proto::Envelope& envelope) {
@@ -1968,8 +1785,12 @@ void ProxyServer::on_peer_down(const std::string& site, const Status& reason) {
   // nothing to purge.
   if (peer_alive(site)) return;
 
-  PG_WARN << config_.site << ": peer " << site
-          << " down: " << reason.to_string();
+  if (stopping_.load(std::memory_order_acquire)) {
+    PG_DEBUG << config_.site << ": peer " << site << " closed (shutdown)";
+  } else {
+    PG_WARN << config_.site << ": peer " << site
+            << " down: " << reason.to_string();
+  }
 
   // Scheduling/status: stop advertising the dead site's nodes.
   status_cache_.forget(site);
@@ -2025,8 +1846,27 @@ void ProxyServer::on_node_down(const std::string& node, const Status& reason) {
   conns_generation_.fetch_add(1, std::memory_order_release);
   if (shut_down_.load(std::memory_order_acquire)) return;
 
-  PG_WARN << config_.site << ": node " << node
-          << " down: " << reason.to_string();
+  if (stopping_.load(std::memory_order_acquire)) {
+    PG_DEBUG << config_.site << ": node " << node << " closed (shutdown)";
+  } else {
+    PG_WARN << config_.site << ": node " << node
+            << " down: " << reason.to_string();
+  }
+
+  // A node never re-attaches under the same name, so its data link and
+  // whatever it still holds in flight go with it. The link is destroyed
+  // outside conns_mutex_: its shutdown waits out a running RTO callback,
+  // which may itself be resolving the node's connection.
+  std::shared_ptr<ReliableLink> link;
+  {
+    std::lock_guard<std::mutex> lock(conns_mutex_);
+    const auto it = node_links_.find(node);
+    if (it != node_links_.end()) {
+      link = std::move(it->second);
+      node_links_.erase(it);
+    }
+  }
+  if (link != nullptr) link->shutdown();
 
   // Any app with ranks placed on the node cannot complete. Fail local
   // runs; for apps another site launched here, notify the origin so ITS
@@ -2156,8 +1996,7 @@ void ProxyServer::shutdown() {
   if (gossip_timer != 0) net::Reactor::global().cancel_timer(gossip_timer);
 
   // Cancel the batch retry timer, then push out whatever is still queued
-  // while the links are up (frames for dead sites are dropped, as an
-  // unbatched send to a dead site would have been).
+  // while the links are up (frames for dead sites are dropped).
   std::uint64_t flush_timer = 0;
   {
     std::lock_guard<std::mutex> lock(batch_mutex_);
@@ -2166,30 +2005,25 @@ void ProxyServer::shutdown() {
     flusher_scheduled_ = false;
   }
   if (flush_timer != 0) net::Reactor::global().cancel_timer(flush_timer);
-
-  // Likewise the retransmission timer: whatever is still unacked dies with
-  // the proxy — retransmit_fire sees shut_down_ and will not re-arm.
-  std::uint64_t rt_timer = 0;
-  {
-    std::lock_guard<std::mutex> lock(windows_mutex_);
-    rt_timer = retrans_timer_;
-    retrans_timer_ = 0;
-    retrans_scheduled_ = false;
-  }
-  if (rt_timer != 0) net::Reactor::global().cancel_timer(rt_timer);
   flush_batches(FlushReason::kTeardown);
 
   // Snapshot under the lock but close outside it: close() quiesces the
   // connection's strand, and a strand mid-handler may itself need
   // conns_mutex_ (peer_connection/node_connection), so closing while
-  // holding the lock deadlocks shutdown against in-flight dispatch.
+  // holding the lock deadlocks shutdown against in-flight dispatch. The
+  // same holds for a link's shutdown, which waits out its RTO callback.
   std::vector<Connection*> open;
+  std::vector<std::shared_ptr<ReliableLink>> links;
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
     open.reserve(peers_.size() + nodes_.size());
     for (auto& [site, conn] : peers_) open.push_back(conn.get());
     for (auto& [node, conn] : nodes_) open.push_back(conn.get());
+    for (auto& [site, link] : site_links_) links.push_back(link);
+    for (auto& [node, link] : node_links_) links.push_back(link);
   }
+  // Whatever is still unacked dies with the proxy: no RTO timer survives.
+  for (const auto& link : links) link->shutdown();
   for (Connection* conn : open) conn->close();
   job_workers_.shutdown();
   workers_.shutdown();

@@ -33,11 +33,10 @@
 #include "monitor/status_lease.hpp"
 #include "net/channel.hpp"
 #include "proxy/app_routing.hpp"
-#include "proxy/batch_window.hpp"
 #include "proxy/connection.hpp"
-#include "proxy/sender_window.hpp"
 #include "proxy/job_manager.hpp"
 #include "proxy/metrics.hpp"
+#include "proxy/reliable_link.hpp"
 #include "proxy/resilience.hpp"
 #include "proxy/shard_ring.hpp"
 #include "sched/scheduler.hpp"
@@ -90,11 +89,10 @@ struct ProxyConfig {
   std::uint32_t job_workers = 4;
 
   // ---- MPI data-plane batching (docs/PERFORMANCE.md, "MPI data plane") ----
-  /// Retry period for batch frames parked on a dead inter-site link, and
-  /// the flusher thread's poll bound. 0 disables batching entirely: every
-  /// remote frame goes out by itself, as before protocol v3. Batching adds
-  /// no latency on an idle link (a lone enqueue drains itself immediately);
-  /// coalescing only happens when sends genuinely pile up.
+  /// Retry period for batch queues parked on a dead inter-site link or a
+  /// full congestion window. Batching adds no latency on an idle link (a
+  /// lone enqueue drains itself immediately); coalescing only happens when
+  /// sends genuinely pile up.
   TimeMicros mpi_batch_flush_interval = 2000;
   /// Payload-byte budget per flushed kMpiBatch envelope.
   std::size_t mpi_batch_max_bytes = 256 * 1024;
@@ -102,21 +100,9 @@ struct ProxyConfig {
   std::size_t mpi_batch_max_frames = 64;
 
   // ---- reliable data plane (docs/RESILIENCE.md, "at-least-once") ----
-  /// Ack + RTO retransmission for kMpiBatch deliveries (protocol v4).
-  /// Requires batching (mpi_batch_flush_interval > 0); with either off,
-  /// data frames are fire-and-forget as before v4 and a drop is recovered
-  /// only by the job timeout.
-  bool mpi_reliable = true;
-  /// Retransmission timeout before any RTT sample exists; once acks flow,
-  /// the live RTO is srtt + 4*rttvar, clamped to
-  /// [mpi_ack_rto_initial / 4, mpi_ack_rto_max].
-  TimeMicros mpi_ack_rto_initial = 50 * 1000;
-  /// Backoff ceiling for repeated retransmissions of the same batch.
-  TimeMicros mpi_ack_rto_max = 2 * kMicrosPerSecond;
-  /// Ceiling of each link's AIMD in-flight budget (congestion window): it
-  /// grows additively per acked batch up to this and halves on an RTO;
-  /// draining defers while unacked bytes exceed it.
-  std::size_t mpi_inflight_max_bytes = 1024 * 1024;
+  /// RTO and congestion-window tuning of every data link; the node agents
+  /// homed on this proxy get a copy for their own link.
+  ReliableLinkConfig mpi_link;
   /// Frames with payloads at or under this ride the latency lane, flushed
   /// ahead of bulk frames on the same link (a barrier never queues behind
   /// a 16 MiB transfer).
@@ -303,6 +289,11 @@ class ProxyServer {
     return shut_down_.load(std::memory_order_acquire);
   }
 
+  /// Marks an orderly teardown of the whole grid: links lost from now on
+  /// are expected and logged at debug level instead of as warnings. Call
+  /// on every proxy before shutting any of them down.
+  void begin_shutdown() { stopping_.store(true, std::memory_order_release); }
+
   void shutdown();
 
  private:
@@ -336,12 +327,6 @@ class ProxyServer {
   /// One queued data frame bound for a peer site.
   struct QueuedFrame {
     proto::MpiFrame frame;
-    /// Original kMpiData envelope payload when the frame wraps exactly one
-    /// plain data message; a single-frame flush then goes out as kMpiData
-    /// with no re-serialization (the zero-copy path for serial traffic,
-    /// available only with the reliable plane off — an ackable send must
-    /// carry a (origin, seq)).
-    Bytes raw;
     /// True when the payload fits config_.mpi_latency_lane_bytes.
     bool latency = false;
   };
@@ -364,7 +349,7 @@ class ProxyServer {
     bool empty() const { return latency.empty() && bulk.empty(); }
   };
 
-  /// Which class of link a kMpiBatch sender window serves.
+  /// Which class of link a ReliableLink serves.
   enum class LinkKind : std::uint8_t { kSite, kNode };
 
   // -- handlers (reader threads)
@@ -381,10 +366,9 @@ class ProxyServer {
   void handle_mpi_start(const proto::Envelope& envelope);
   void handle_mpi_close(const proto::Envelope& envelope);
   void handle_mpi_abort_from_peer(const proto::Envelope& envelope);
-  void route_mpi_data(const proto::Envelope& envelope);
   void handle_mpi_batch(const proto::Envelope& envelope, Connection& conn);
   /// Applies a kMpiBatchAck that arrived on the named link to that link's
-  /// sender window; released window space re-drains a deferred site queue.
+  /// ReliableLink; released window space re-drains a deferred site queue.
   void handle_mpi_batch_ack(const proto::Envelope& envelope, LinkKind kind,
                             const std::string& link);
   void handle_mpi_done_from_node(const proto::Envelope& envelope);
@@ -426,11 +410,8 @@ class ProxyServer {
   /// peer site.
   void route_mpi_frame(proto::MpiFrame frame);
   /// Queues a frame for `site` and drains the queue unless another thread
-  /// already is. `raw` optionally carries the frame's original kMpiData
-  /// payload (see QueuedFrame). With batching disabled the frame is sent
-  /// straight away.
-  void enqueue_remote_frame(const std::string& site, proto::MpiFrame frame,
-                            Bytes raw);
+  /// already is.
+  void enqueue_remote_frame(const std::string& site, proto::MpiFrame frame);
   /// Drains batches_[site] to the peer link; call with `lock` held and the
   /// site's `flushing` flag owned. Unlocks around every network send.
   void drain_site_locked(std::unique_lock<std::mutex>& lock,
@@ -446,24 +427,13 @@ class ProxyServer {
   void flusher_fire();
 
   // -- reliable data plane (ack + retransmit)
-  /// True when kMpiBatch sends are tracked, acked and retransmitted.
-  bool reliable_data_plane() const {
-    return config_.mpi_reliable && config_.mpi_batch_flush_interval > 0;
-  }
-  /// The sender window for one outgoing link, created on first use.
-  std::shared_ptr<SenderWindow> link_window(LinkKind kind,
-                                            const std::string& name);
-  /// The link's window if it exists; null otherwise (never creates).
-  std::shared_ptr<SenderWindow> find_window(LinkKind kind,
-                                            const std::string& name) const;
-  /// Arms the one-shot RTO timer for the earliest in-flight deadline. Call
-  /// with windows_mutex_ held; no-op when armed, idle, or shutting down.
-  void schedule_retransmit_locked();
-  /// Convenience wrapper taking windows_mutex_ itself.
-  void schedule_retransmit();
-  /// Reactor-timer callback: resends every in-flight batch whose RTO
-  /// passed (links re-resolved now, picking up auto-reconnects), re-arms.
-  void retransmit_fire();
+  /// A new ReliableLink for the named peer site or node. Call with
+  /// conns_mutex_ held, when the link's first connection is kept.
+  std::shared_ptr<ReliableLink> make_link(LinkKind kind,
+                                          const std::string& name);
+  /// The data link to a peer site or node; null when it never attached.
+  std::shared_ptr<ReliableLink> data_link(LinkKind kind,
+                                          const std::string& name) const;
   /// Drains `site`'s queue if frames were deferred waiting on congestion-
   /// window space (called when an ack frees some).
   void drain_if_window_open(const std::string& site);
@@ -532,6 +502,11 @@ class ProxyServer {
   mutable std::mutex conns_mutex_;
   std::map<std::string, ConnectionPtr> peers_;
   std::map<std::string, ConnectionPtr> nodes_;
+  // Reliable data links, created with their first connection. A peer's
+  // link outlives reconnects (the peer's coverage of this proxy's seq space
+  // survives them too); a node's link goes when the node does.
+  std::map<std::string, std::shared_ptr<ReliableLink>> site_links_;
+  std::map<std::string, std::shared_ptr<ReliableLink>> node_links_;
   /// Bumped on every connection add/loss; invalidates RouteEntry caches.
   std::atomic<std::uint64_t> conns_generation_{1};
 
@@ -570,21 +545,8 @@ class ProxyServer {
   std::map<std::string, SiteBatch> batches_;
   std::uint64_t flusher_timer_ = 0;   // guarded by batch_mutex_
   bool flusher_scheduled_ = false;    // guarded by batch_mutex_
-  /// Seq source for UNRELIABLE batches only. Reliable links draw from
-  /// their own window's counter, so every receiver observes a contiguous
-  /// per-origin stream — what makes cumulative acks meaningful.
-  std::atomic<std::uint64_t> batch_seq_{1};
-  BatchDedupWindow batch_dedup_;
-  BatchAckTracker ack_tracker_;
-
-  // Sender windows for the reliable data plane, one per outgoing link the
-  // proxy pushes kMpiBatch down (peer sites and this site's nodes). Lock
-  // order: batch_mutex_ before windows_mutex_, never the reverse.
-  mutable std::mutex windows_mutex_;
-  std::map<std::string, std::shared_ptr<SenderWindow>> site_windows_;
-  std::map<std::string, std::shared_ptr<SenderWindow>> node_windows_;
-  std::uint64_t retrans_timer_ = 0;   // guarded by windows_mutex_
-  bool retrans_scheduled_ = false;    // guarded by windows_mutex_
+  /// Every batch origin this proxy receives from (peers and its nodes).
+  BatchCoverage coverage_;
 
   // Next hop toward each foreign trace's origin, learned from the peer an
   // envelope carrying that trace arrived on (bounded FIFO).
@@ -592,6 +554,7 @@ class ProxyServer {
   std::unordered_map<std::uint64_t, std::string> trace_routes_;
   std::deque<std::uint64_t> trace_routes_order_;
 
+  std::atomic<bool> stopping_{false};
   std::atomic<bool> shut_down_{false};
 };
 

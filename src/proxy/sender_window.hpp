@@ -2,9 +2,11 @@
 // RTO/backoff retransmission, RTT estimation and the AIMD flush budget.
 //
 // One SenderWindow per outgoing data link (proxy -> peer site, proxy ->
-// node, node agent -> proxy). Each transmitted kMpiBatch stays tracked —
-// wire bytes and all — until a kMpiBatchAck covers its seq; uncovered
-// batches are resent when their deadline passes, with exponential backoff.
+// node, node agent -> proxy), owned by that link's ReliableLink, whose lock
+// guards every call (the window itself is not thread-safe). Each
+// transmitted kMpiBatch stays tracked — wire bytes and all — until a
+// kMpiBatchAck covers its seq; uncovered batches are resent when their
+// deadline passes, with exponential backoff.
 // The window also drives congestion-aware flushing: a per-link byte budget
 // grows additively on clean acks and halves on a retransmission timeout,
 // and the batcher defers draining while in-flight bytes exceed it.
@@ -12,21 +14,22 @@
 // State machine per batch (docs/PROTOCOL.md):
 //   tracked --ack covers seq--> released
 //   tracked --deadline passes--> retransmitted (backoff, re-armed)
-//   tracked --every owning app closed--> dropped
+//   tracked --every owning app closed--> stripped (a zero-frame batch that
+//                                         still retransmits until acked, so
+//                                         the receiver never sees a gap)
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 
 namespace pg::proxy {
 
-/// Tuning for one link's reliability state; values come from ProxyConfig.
+/// Tuning for one window; ReliableLink derives it from ReliableLinkConfig.
 struct SenderWindowConfig {
   std::uint64_t rto_initial_micros = 50'000;
   std::uint64_t rto_max_micros = 2'000'000;
@@ -38,7 +41,7 @@ struct SenderWindowConfig {
 };
 
 /// A batch due for retransmission: resend `wire` verbatim (same seq, so the
-/// receiver's dedup window absorbs the copy if the original did arrive).
+/// receiver's coverage record absorbs the copy if the original did arrive).
 struct Retransmit {
   std::uint64_t seq = 0;
   Bytes wire;
@@ -58,7 +61,7 @@ class SenderWindow {
   explicit SenderWindow(SenderWindowConfig config)
       : config_(config), budget_(config.budget_max_bytes) {}
 
-  /// Next batch seq for this link, starting at 1 (the ack tracker's
+  /// Next batch seq for this link, starting at 1 (the receiver's
   /// cumulative point starts at 0 == "nothing received").
   std::uint64_t next_seq() { return ++last_seq_; }
 
@@ -67,13 +70,12 @@ class SenderWindow {
   void track(std::uint64_t seq, Bytes wire,
              std::map<std::uint64_t, std::size_t> frames_per_app,
              std::uint64_t now_micros) {
-    std::lock_guard<std::mutex> lock(mutex_);
     Entry e;
     e.bytes = wire.size();
     e.wire = std::move(wire);
     e.frames_per_app = std::move(frames_per_app);
     e.sent_micros = now_micros;
-    e.deadline_micros = now_micros + rto_locked();
+    e.deadline_micros = now_micros + rto();
     inflight_bytes_ += e.bytes;
     entries_.emplace(seq, std::move(e));
   }
@@ -84,7 +86,6 @@ class SenderWindow {
   AckOutcome on_ack(std::uint64_t cumulative,
                     const std::vector<std::uint64_t>& selective,
                     std::uint64_t now_micros) {
-    std::lock_guard<std::mutex> lock(mutex_);
     AckOutcome out;
     auto release = [&](std::map<std::uint64_t, Entry>::iterator it) {
       if (it->second.retransmits == 0 && now_micros >= it->second.sent_micros)
@@ -101,7 +102,7 @@ class SenderWindow {
       auto it = entries_.find(seq);
       if (it != entries_.end()) release(it);
     }
-    for (const std::uint64_t rtt : out.rtt_samples) sample_rtt_locked(rtt);
+    for (const std::uint64_t rtt : out.rtt_samples) sample_rtt(rtt);
     // Additive increase: one budget step per batch the link got through.
     budget_ = std::min(config_.budget_max_bytes,
                        budget_ + out.released * budget_step());
@@ -113,13 +114,12 @@ class SenderWindow {
   /// flush budget once (multiplicative decrease — a burst of simultaneous
   /// expiries is one congestion event, not many).
   std::vector<Retransmit> take_due(std::uint64_t now_micros) {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<Retransmit> due;
     for (auto& [seq, e] : entries_) {
       if (e.deadline_micros > now_micros) continue;
       ++e.retransmits;
       const std::uint64_t backoff = std::min(
-          config_.rto_max_micros, rto_locked() << std::min(e.retransmits, 16));
+          config_.rto_max_micros, rto() << std::min(e.retransmits, 16));
       e.deadline_micros = now_micros + backoff;
       due.push_back({seq, e.wire, e.retransmits});
     }
@@ -130,7 +130,6 @@ class SenderWindow {
 
   /// Earliest retransmit deadline, or 0 when nothing is in flight.
   std::uint64_t next_deadline() const {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t earliest = 0;
     for (const auto& [seq, e] : entries_)
       if (earliest == 0 || e.deadline_micros < earliest)
@@ -139,33 +138,30 @@ class SenderWindow {
   }
 
   /// What drop_app() removed: the app's frame count, and the wire bytes of
-  /// entries freed outright (an entry still carrying another live app's
-  /// frames stays in flight, so its bytes are not freed).
+  /// entries stripped (an entry still carrying another live app's frames
+  /// keeps its payload, so its bytes are not freed).
   struct DropOutcome {
     std::size_t frames = 0;
     std::size_t bytes = 0;
   };
 
-  /// Forgets an app's frames. Entries whose every owning app is gone are
-  /// dropped outright (their retransmission would deliver to nobody).
-  DropOutcome drop_app(std::uint64_t app_id) {
-    std::lock_guard<std::mutex> lock(mutex_);
+  /// Forgets an app's frames. An entry whose every owning app is gone keeps
+  /// its seq in flight with `stub(seq)` (a zero-frame batch) as its wire, so
+  /// the receiver's cumulative point can still pass it; the stub counts no
+  /// in-flight bytes. Entries shared with a live app are left as they are.
+  DropOutcome drop_app(std::uint64_t app_id,
+                       const std::function<Bytes(std::uint64_t)>& stub) {
     DropOutcome out;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      auto frames = it->second.frames_per_app.find(app_id);
-      if (frames == it->second.frames_per_app.end()) {
-        ++it;
-        continue;
-      }
+    for (auto& [seq, e] : entries_) {
+      const auto frames = e.frames_per_app.find(app_id);
+      if (frames == e.frames_per_app.end()) continue;
       out.frames += frames->second;
-      it->second.frames_per_app.erase(frames);
-      if (it->second.frames_per_app.empty()) {
-        out.bytes += it->second.bytes;
-        inflight_bytes_ -= it->second.bytes;
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+      e.frames_per_app.erase(frames);
+      if (!e.frames_per_app.empty()) continue;
+      out.bytes += e.bytes;
+      inflight_bytes_ -= e.bytes;
+      e.bytes = 0;
+      e.wire = stub(seq);
     }
     return out;
   }
@@ -174,33 +170,20 @@ class SenderWindow {
   /// congestion budget. The check admits at least one batch when idle so a
   /// single oversized batch is never wedged.
   bool can_send(std::size_t extra_bytes) const {
-    std::lock_guard<std::mutex> lock(mutex_);
     if (entries_.empty()) return true;
     return inflight_bytes_ + extra_bytes <= budget_;
   }
 
   /// Current AIMD chunk budget: the batcher carves chunks no larger than
   /// this (clamped under the configured maximum elsewhere).
-  std::size_t budget_bytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return budget_;
-  }
+  std::size_t budget_bytes() const { return budget_; }
 
-  std::size_t inflight_bytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inflight_bytes_;
-  }
+  std::size_t inflight_bytes() const { return inflight_bytes_; }
 
-  std::size_t inflight_batches() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-  }
+  std::size_t inflight_batches() const { return entries_.size(); }
 
   /// Smoothed ack RTT (micros); 0 before the first sample.
-  std::uint64_t srtt_micros() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return srtt_;
-  }
+  std::uint64_t srtt_micros() const { return srtt_; }
 
  private:
   struct Entry {
@@ -213,7 +196,7 @@ class SenderWindow {
   };
 
   // Jacobson/Karels: srtt/rttvar EWMA, RTO = srtt + 4*rttvar, clamped.
-  void sample_rtt_locked(std::uint64_t rtt) {
+  void sample_rtt(std::uint64_t rtt) {
     if (srtt_ == 0) {
       srtt_ = rtt;
       rttvar_ = rtt / 2;
@@ -224,7 +207,7 @@ class SenderWindow {
     }
   }
 
-  std::uint64_t rto_locked() const {
+  std::uint64_t rto() const {
     if (srtt_ == 0) return config_.rto_initial_micros;
     return std::clamp(srtt_ + 4 * rttvar_, config_.rto_initial_micros / 4 + 1,
                       config_.rto_max_micros);
@@ -235,7 +218,6 @@ class SenderWindow {
   }
 
   SenderWindowConfig config_;
-  mutable std::mutex mutex_;
   std::uint64_t last_seq_ = 0;
   std::map<std::uint64_t, Entry> entries_;  // ordered: cumulative release
   std::size_t inflight_bytes_ = 0;

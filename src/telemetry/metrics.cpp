@@ -71,8 +71,10 @@ std::vector<double> size_buckets_bytes() {
 // -------------------------------------------------------------- registry
 
 MetricRegistry& MetricRegistry::global() {
-  static MetricRegistry registry;
-  return registry;
+  // Intentionally leaked, like Reactor::global(): the reactor's threads
+  // outlive static destruction and keep counting until the process exits.
+  static MetricRegistry* registry = new MetricRegistry;
+  return *registry;
 }
 
 namespace {

@@ -229,8 +229,8 @@ TEST(Chaos, CrossSiteCollectivesConvergeUnderDropAndDuplicate) {
   // Collective-heavy jobs spanning sites while the links drop AND
   // duplicate writes. On the GSSL mesh a duplicated record desynchronizes
   // the sequence MACs and kills the link just like a drop; on the
-  // plaintext node links the batch dedup window absorbs replayed batch
-  // envelopes. The assertion stays convergence: every job terminal,
+  // plaintext node links the receivers' coverage records absorb replayed
+  // batch envelopes. The assertion stays convergence: every job terminal,
   // clean shutdown.
   static const bool registered = [] {
     mpi::AppRegistry::instance().register_app(
@@ -478,7 +478,7 @@ TEST(Chaos, RetransmitHealsDroppedDataFrames) {
   // kMpiBatch envelopes and their acks. The reliable data plane must
   // recover via ack-timeout retransmission — NOT via the job timeout, so
   // pg_job_redispatch_total stays flat while the retransmit counters move
-  // and the dedup window absorbs any duplicate deliveries.
+  // and the receivers' coverage records absorb any duplicate deliveries.
   static const bool registered = [] {
     mpi::AppRegistry::instance().register_app(
         "retx-burst", [](mpi::Comm& comm) -> Status {
@@ -516,8 +516,8 @@ TEST(Chaos, RetransmitHealsDroppedDataFrames) {
   builder.add_nodes("site0", 2);  // one site: every MPI hop is plaintext
   builder.add_user("u", "p", {"mpi.run", "status.query"});
   builder.configure_proxy([](proxy::ProxyConfig& config) {
-    config.mpi_ack_rto_initial = 5 * kMicrosPerMilli;  // fast recovery
-    config.mpi_ack_rto_max = 200 * kMicrosPerMilli;
+    config.mpi_link.rto_initial = 5 * kMicrosPerMilli;  // fast recovery
+    config.mpi_link.rto_max = 200 * kMicrosPerMilli;
     // A job timeout far beyond the test budget: if recovery leaned on
     // re-dispatch instead of retransmission, the test would hang and fail.
     config.job_run_timeout = 120 * kMicrosPerSecond;

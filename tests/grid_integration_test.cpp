@@ -467,6 +467,51 @@ TEST(GridFailure, SeveredLinkDetected) {
   EXPECT_FALSE(grid->proxy("siteA").peer_alive("siteB"));
 }
 
+TEST(GridFailure, OrderlyShutdownLogsNoWarnings) {
+  // Tearing the grid down is not an outage: no proxy may report its peers
+  // or nodes as failed while every one of them is being stopped on purpose.
+  register_apps();
+  GridBuilder builder;
+  builder.seed(1234).key_bits(768);
+  builder.add_site("siteB", 2);
+  builder.add_nodes("siteA", 2).add_nodes("siteB", 2);
+  builder.add_user("alice", "correct-horse", {"mpi.run", "status.query"});
+  auto built = builder.build();
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  auto grid = built.take();
+  Result<Bytes> token = grid->login("siteA", "alice", "correct-horse");
+  ASSERT_TRUE(token.is_ok());
+  const proxy::AppRunResult result = grid->run_app(
+      "siteA", "alice", token.value(), "pi", 4, SchedulerPolicy::kRoundRobin);
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+
+  testing::internal::CaptureStderr();
+  grid->shutdown();
+  const std::string teardown = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(teardown.find("[WRN]"), std::string::npos) << teardown;
+}
+
+TEST(GridFailure, KilledNodeAndProxyStillWarn) {
+  auto grid = make_grid(proxy::SecurityMode::kProxyTunneling, 3, 2);
+  ASSERT_NE(grid, nullptr);
+  testing::internal::CaptureStderr();
+  grid->kill_node("siteB", "node1");
+  grid->kill_proxy("siteC");
+  for (int i = 0; i < 1000 && (grid->proxy("siteA").peer_alive("siteC") ||
+                               grid->proxy("siteB").peer_alive("siteC"));
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The warnings are written on the proxies' strands just after the links
+  // read as dead; give them time to land before reading the capture.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::string failures = testing::internal::GetCapturedStderr();
+  EXPECT_NE(failures.find("[WRN] siteB: node node1 down"), std::string::npos)
+      << failures;
+  EXPECT_NE(failures.find("[WRN] siteA: peer siteC down"), std::string::npos)
+      << failures;
+}
+
 TEST(GridCli, FullSession) {
   auto grid = make_grid();
   ASSERT_NE(grid, nullptr);

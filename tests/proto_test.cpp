@@ -30,19 +30,19 @@ TEST(Envelope, RejectsBadVersion) {
   EXPECT_EQ(back.status().code(), ErrorCode::kProtocolError);
 }
 
-TEST(Envelope, AcceptsPreviousProtocolVersion) {
-  // v3 introduced kMpiBatch; a v2 peer's envelopes must still parse.
+TEST(Envelope, RejectsPreviousProtocolVersion) {
+  // The grid ships as one build: the parser accepts only the version it
+  // speaks, so a v4 envelope is refused.
+  static_assert(kProtocolVersion == 5);
+  static_assert(kMinProtocolVersion == kProtocolVersion);
   Envelope env;
-  env.version = kMinProtocolVersion;
   env.op = OpCode::kPing;
-  const auto back = Envelope::deserialize(env.serialize());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().version, kMinProtocolVersion);
+  ASSERT_TRUE(Envelope::deserialize(env.serialize()).is_ok());
 
-  Envelope below;
-  below.version = kMinProtocolVersion - 1;
-  below.op = OpCode::kPing;
-  EXPECT_EQ(Envelope::deserialize(below.serialize()).status().code(),
+  Envelope v4;
+  v4.version = 4;
+  v4.op = OpCode::kPing;
+  EXPECT_EQ(Envelope::deserialize(v4.serialize()).status().code(),
             ErrorCode::kProtocolError);
 }
 
@@ -61,7 +61,7 @@ TEST(Envelope, OpcodeNamesCover) {
                     OpCode::kStatusQuery, OpCode::kStatusReport,
                     OpCode::kJobSubmit, OpCode::kJobAccept,
                     OpCode::kJobComplete, OpCode::kMpiOpen,
-                    OpCode::kMpiOpenAck, OpCode::kMpiData, OpCode::kMpiClose,
+                    OpCode::kMpiOpenAck, OpCode::kMpiBatch, OpCode::kMpiClose,
                     OpCode::kTunnelOpen, OpCode::kTunnelData,
                     OpCode::kTunnelClose, OpCode::kError}) {
     EXPECT_STRNE(opcode_name(op), "unknown");
@@ -213,19 +213,6 @@ TEST(Messages, MpiOpenRoundTrip) {
   EXPECT_EQ(back.value().executable, "cpi");
 }
 
-TEST(Messages, MpiDataRoundTrip) {
-  MpiData m;
-  m.app_id = 5;
-  m.src_rank = 0;
-  m.dst_rank = 3;
-  m.tag = 42;
-  m.payload = Bytes(1000, 0xcd);
-  const auto back = MpiData::parse(m.serialize());
-  ASSERT_TRUE(back.is_ok());
-  EXPECT_EQ(back.value().payload, m.payload);
-  EXPECT_EQ(back.value().dst_rank, 3u);
-}
-
 TEST(Messages, MpiBatchRoundTrip) {
   MpiBatch batch;
   batch.origin = "siteA";
@@ -251,6 +238,17 @@ TEST(Messages, MpiBatchRoundTrip) {
   ASSERT_EQ(back.value().frames.size(), 2u);
   EXPECT_EQ(back.value().frames[0], fan);
   EXPECT_EQ(back.value().frames[1], single);
+}
+
+TEST(Messages, MpiBatchWithoutFramesRoundTrips) {
+  // The stub a sender keeps in flight once every app in a batch closed.
+  MpiBatch stub;
+  stub.origin = "siteA/node0";
+  stub.seq = 17;
+  const auto back = MpiBatch::parse(stub.serialize());
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(back.value().seq, 17u);
+  EXPECT_TRUE(back.value().frames.empty());
 }
 
 TEST(Messages, MpiBatchOpcodeNamed) {
@@ -315,7 +313,6 @@ TEST(Messages, FuzzDecodeSafety) {
     (void)JobComplete::parse(junk);
     (void)MpiOpen::parse(junk);
     (void)MpiOpenAck::parse(junk);
-    (void)MpiData::parse(junk);
     (void)MpiBatch::parse(junk);
     (void)MpiBatchAck::parse(junk);
     (void)MpiClose::parse(junk);
@@ -398,7 +395,7 @@ TEST(Dispatcher, DuplicateRegistrationFails) {
 TEST(Dispatcher, UnknownOpFails) {
   Dispatcher d;
   Envelope env;
-  env.op = OpCode::kMpiData;
+  env.op = OpCode::kMpiBatch;
   EXPECT_EQ(d.dispatch(env).code(), ErrorCode::kNotFound);
 }
 

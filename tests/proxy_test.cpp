@@ -78,7 +78,8 @@ TEST(Connection, ConcurrentCallsCorrelateCorrectly) {
     callers.emplace_back([&pair, t] {
       for (int i = 0; i < 20; ++i) {
         const std::string payload =
-            "t" + std::to_string(t) + "-i" + std::to_string(i);
+            std::string("t").append(std::to_string(t)).append("-i").append(
+                std::to_string(i));
         Result<proto::Envelope> response =
             pair.a->call(proto::OpCode::kPing, to_bytes(payload));
         ASSERT_TRUE(response.is_ok());
@@ -115,10 +116,10 @@ TEST(Connection, NotifyReachesHandler) {
   ConnPair pair = make_conn_pair(
       null_handler(),
       [&received](const proto::Envelope& env, Connection&) {
-        if (env.op == proto::OpCode::kMpiData) ++received;
+        if (env.op == proto::OpCode::kMpiBatch) ++received;
       });
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiData, to_bytes("x")).is_ok());
+    ASSERT_TRUE(pair.a->notify(proto::OpCode::kMpiBatch, to_bytes("x")).is_ok());
   }
   // Notifications are async; poll briefly.
   for (int i = 0; i < 100 && received.load() < 10; ++i) {

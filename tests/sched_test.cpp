@@ -106,7 +106,8 @@ TEST(LoadBalanced, PrefersFastNodes) {
 TEST(LoadBalanced, SpreadsAcrossEqualNodes) {
   std::vector<monitor::GridNode> nodes;
   for (int i = 0; i < 4; ++i)
-    nodes.push_back(make_node("siteA", "n" + std::to_string(i)));
+    nodes.push_back(
+        make_node("siteA", std::string("n").append(std::to_string(i))));
   auto scheduler = make_load_balanced_scheduler();
   const auto result = scheduler->assign(nodes, 8, {});
   ASSERT_TRUE(result.is_ok());

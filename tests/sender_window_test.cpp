@@ -1,11 +1,23 @@
-// Unit tests for the reliable data plane's sender-side state (SenderWindow:
-// tracking, ack release, RTO backoff, AIMD budget) and the receiver-side
-// ack coverage tracker (BatchAckTracker: cumulative + selective acks).
+// Unit tests for the reliable data plane: the sender-side state
+// (SenderWindow: tracking, ack release, RTO backoff, AIMD budget), the link
+// that owns it (ReliableLink: seq allocation under concurrent senders, the
+// zero-frame stub a closed app leaves behind) and the receiver-side
+// coverage record (BatchCoverage: duplicates and cumulative + selective
+// acks).
 
 #include <gtest/gtest.h>
 
-#include "proxy/batch_window.hpp"
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <thread>
+#include <vector>
+
+#include "net/memory_channel.hpp"
+#include "proxy/reliable_link.hpp"
 #include "proxy/sender_window.hpp"
+#include "tls/link.hpp"
 
 namespace pg::proxy {
 namespace {
@@ -148,59 +160,253 @@ TEST(SenderWindow, DropAppFreesWhollyOwnedEntriesOnly) {
   SenderWindow window(small_config());
   window.track(window.next_seq(), wire_of(10), {{7, 2}}, 0);        // app 7
   window.track(window.next_seq(), wire_of(20), {{7, 1}, {8, 1}}, 0);  // shared
-  const SenderWindow::DropOutcome out = window.drop_app(7);
+  const auto stub = [](std::uint64_t seq) {
+    return Bytes(1, static_cast<std::uint8_t>(seq));
+  };
+  const SenderWindow::DropOutcome out = window.drop_app(7, stub);
   EXPECT_EQ(out.frames, 3u);
   EXPECT_EQ(out.bytes, 10u);  // only the wholly-owned entry is freed
-  EXPECT_EQ(window.inflight_batches(), 1u);
+  // The freed entry stays in flight as a stub, so the receiver's cumulative
+  // point can still pass its seq; it counts no in-flight bytes.
+  EXPECT_EQ(window.inflight_batches(), 2u);
   EXPECT_EQ(window.inflight_bytes(), 20u);
-  // The shared entry still retransmits for app 8's sake.
-  EXPECT_EQ(window.take_due(1000).size(), 1u);
+  const std::vector<Retransmit> due = window.take_due(1000);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(due[0].wire, stub(1));
+  EXPECT_EQ(due[1].wire, wire_of(20));  // still carries app 8's frame
+  EXPECT_EQ(window.on_ack(2, {}, 1500).released, 2u);
 }
 
-TEST(BatchAckTracker, CumulativeAdvancesThroughContiguousSeqs) {
-  BatchAckTracker tracker;
-  EXPECT_EQ(tracker.record("s", 1).cumulative, 1u);
-  EXPECT_EQ(tracker.record("s", 2).cumulative, 2u);
-  const AckCoverage cov = tracker.record("s", 3);
-  EXPECT_EQ(cov.cumulative, 3u);
-  EXPECT_TRUE(cov.selective.empty());
+// ------------------------------------------------------------ ReliableLink
+
+/// One side of a plaintext in-memory link: `sender` transmits, `receiver`
+/// runs `on_receive` for every envelope.
+struct LinkPair {
+  ConnectionPtr sender;
+  ConnectionPtr receiver;
+};
+
+LinkPair make_link_pair(Connection::EnvelopeHandler on_sender_receive,
+                        Connection::EnvelopeHandler on_receive) {
+  net::ChannelPair channels = net::make_memory_channel_pair();
+  auto link_a = tls::make_plain_link(*channels.a);
+  auto link_b = tls::make_plain_link(*channels.b);
+  LinkPair out;
+  out.sender = std::make_unique<Connection>(
+      "receiver", std::move(channels.a), std::move(link_a), true,
+      std::move(on_sender_receive));
+  out.receiver = std::make_unique<Connection>(
+      "sender", std::move(channels.b), std::move(link_b), false,
+      std::move(on_receive));
+  out.sender->start();
+  out.receiver->start();
+  return out;
 }
 
-TEST(BatchAckTracker, GapHoldsCumulativeAndReportsSelective) {
-  BatchAckTracker tracker;
-  (void)tracker.record("s", 1);
-  AckCoverage cov = tracker.record("s", 3);  // 2 missing
-  EXPECT_EQ(cov.cumulative, 1u);
-  ASSERT_EQ(cov.selective.size(), 1u);
-  EXPECT_EQ(cov.selective[0], 3u);
+LinkInstruments test_instruments(const std::string& name) {
+  auto& registry = telemetry::MetricRegistry::global();
+  const telemetry::Labels labels{{"site", name}, {"sender", "test"}};
+  return LinkInstruments{
+      registry.counter("pg_mpi_retransmit_total", "", labels),
+      registry.histogram("pg_mpi_ack_rtt_micros", "",
+                         telemetry::duration_buckets_micros(), labels),
+      registry.gauge("pg_mpi_inflight_bytes", "", labels)};
+}
+
+proto::MpiBatch one_frame_batch(std::uint64_t app_id, std::uint32_t src) {
+  proto::MpiBatch batch;
+  batch.frames.push_back(proto::MpiFrame{app_id, src, 1, {0}, Bytes(16, 1)});
+  return batch;
+}
+
+template <typename Pred>
+bool wait_for(Pred pred) {
+  for (int i = 0; i < 5000 && !pred(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return pred();
+}
+
+TEST(ReliableLink, ConcurrentSendersTrackEverySeqExactlyOnce) {
+  // Node strands fanning into one node link, and rank threads sharing a
+  // node agent's link, send concurrently. Two batches sharing a seq would
+  // make the receiver drop the second as a duplicate — a lost message.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 250;
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  std::mutex seen_mutex;
+  std::vector<std::uint64_t> seen;
+  LinkPair pair = make_link_pair(
+      [](const proto::Envelope&, Connection&) {},
+      [&](const proto::Envelope& env, Connection&) {
+        Result<proto::MpiBatch> batch = proto::MpiBatch::parse(env.payload);
+        ASSERT_TRUE(batch.is_ok());
+        std::lock_guard<std::mutex> lock(seen_mutex);
+        seen.push_back(batch.value().seq);
+      });
+  ReliableLinkConfig config;
+  config.rto_initial = 60 * kMicrosPerSecond;  // no retransmission here
+  config.rto_max = 60 * kMicrosPerSecond;
+  ReliableLink link(config, "concurrent", [&] { return pair.sender.get(); },
+                    test_instruments("reliable-link-concurrent"));
+
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        proto::MpiBatch batch = one_frame_batch(1, static_cast<std::uint32_t>(t));
+        ASSERT_TRUE(link.send(*pair.sender, batch, {{1, 1}}).is_ok());
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+
+  // Every seq in 1..N tracked once: an entry per seq, none overwritten.
+  EXPECT_EQ(link.inflight_batches(), kTotal);
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard<std::mutex> lock(seen_mutex);
+    return seen.size() >= kTotal;
+  }));
+  std::lock_guard<std::mutex> lock(seen_mutex);
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), kTotal);
+  for (std::uint64_t i = 0; i < kTotal; ++i) ASSERT_EQ(seen[i], i + 1);
+  link.shutdown();
+}
+
+TEST(ReliableLink, ClosedAppLeavesZeroFrameStubUntilAcked) {
+  // Batches of a closed app are stripped, not forgotten: the receiver sees
+  // their seqs as zero-frame batches, so its cumulative point moves on.
+  std::atomic<bool> acking{false};
+  std::atomic<int> stubs_seen{0};
+  std::atomic<ReliableLink*> link_ptr{nullptr};
+  BatchCoverage coverage;
+  LinkPair pair = make_link_pair(
+      [&](const proto::Envelope& env, Connection&) {
+        Result<proto::MpiBatchAck> ack = proto::MpiBatchAck::parse(env.payload);
+        if (ack.is_ok() && link_ptr.load() != nullptr)
+          (void)link_ptr.load()->on_ack(ack.value());
+      },
+      [&](const proto::Envelope& env, Connection& conn) {
+        Result<proto::MpiBatch> batch = proto::MpiBatch::parse(env.payload);
+        ASSERT_TRUE(batch.is_ok());
+        if (batch.value().frames.empty()) stubs_seen.fetch_add(1);
+        if (!acking.load()) return;  // the "lost ack" phase
+        const BatchCoverage::Verdict verdict =
+            coverage.record(batch.value().origin, batch.value().seq);
+        (void)conn.notify(proto::OpCode::kMpiBatchAck, verdict.ack.serialize());
+      });
+  ReliableLinkConfig config;
+  config.rto_initial = 2 * kMicrosPerMilli;
+  config.rto_max = 20 * kMicrosPerMilli;
+  const LinkInstruments instruments = test_instruments("reliable-link-stub");
+  const std::int64_t gauge_before = instruments.inflight_bytes.value();
+  ReliableLink link(config, "stub", [&] { return pair.sender.get(); },
+                    instruments);
+  link_ptr.store(&link);
+
+  for (int i = 0; i < 3; ++i) {
+    proto::MpiBatch batch = one_frame_batch(7, 0);
+    ASSERT_TRUE(link.send(*pair.sender, batch, {{7, 1}}).is_ok());
+  }
+  EXPECT_GT(instruments.inflight_bytes.value(), gauge_before);
+  EXPECT_EQ(link.drop_app(7), 3u);
+  EXPECT_EQ(link.inflight_batches(), 3u);
+  EXPECT_EQ(instruments.inflight_bytes.value(), gauge_before);
+
+  ASSERT_TRUE(wait_for([&] { return stubs_seen.load() >= 3; }));
+  acking.store(true);
+  ASSERT_TRUE(wait_for([&] { return link.inflight_batches() == 0; }));
+  link.shutdown();
+}
+
+// ----------------------------------------------------------- BatchCoverage
+
+TEST(BatchCoverage, CumulativeAdvancesThroughContiguousSeqs) {
+  BatchCoverage coverage;
+  EXPECT_EQ(coverage.record("s", 1).ack.cumulative, 1u);
+  EXPECT_EQ(coverage.record("s", 2).ack.cumulative, 2u);
+  const BatchCoverage::Verdict v = coverage.record("s", 3);
+  EXPECT_FALSE(v.duplicate);
+  EXPECT_EQ(v.ack.origin, "s");
+  EXPECT_EQ(v.ack.cumulative, 3u);
+  EXPECT_TRUE(v.ack.selective.empty());  // in-order acks stay minimal
+}
+
+TEST(BatchCoverage, GapHoldsCumulativeAndReportsSelective) {
+  BatchCoverage coverage;
+  (void)coverage.record("s", 1);
+  BatchCoverage::Verdict v = coverage.record("s", 3);  // 2 missing
+  EXPECT_EQ(v.ack.cumulative, 1u);
+  ASSERT_EQ(v.ack.selective.size(), 1u);
+  EXPECT_EQ(v.ack.selective[0], 3u);
   // The gap filling advances cumulative over the parked seq.
-  cov = tracker.record("s", 2);
-  EXPECT_EQ(cov.cumulative, 3u);
-  EXPECT_TRUE(cov.selective.empty());
+  v = coverage.record("s", 2);
+  EXPECT_FALSE(v.duplicate);
+  EXPECT_EQ(v.ack.cumulative, 3u);
+  EXPECT_TRUE(v.ack.selective.empty());
 }
 
-TEST(BatchAckTracker, DuplicateRecordIsIdempotent) {
-  BatchAckTracker tracker;
-  (void)tracker.record("s", 1);
-  const AckCoverage cov = tracker.record("s", 1);
-  EXPECT_EQ(cov.cumulative, 1u);
-  EXPECT_TRUE(cov.selective.empty());
+TEST(BatchCoverage, DuplicateRecordIsIdempotent) {
+  BatchCoverage coverage;
+  EXPECT_FALSE(coverage.record("s", 1).duplicate);
+  const BatchCoverage::Verdict v = coverage.record("s", 1);
+  EXPECT_TRUE(v.duplicate);
+  EXPECT_EQ(v.ack.cumulative, 1u);  // still acked: heals a lost ack
+  EXPECT_TRUE(v.ack.selective.empty());
+  (void)coverage.record("s", 5);
+  EXPECT_TRUE(coverage.record("s", 5).duplicate);  // above the gap too
 }
 
-TEST(BatchAckTracker, OriginsAreIndependent) {
-  BatchAckTracker tracker;
-  (void)tracker.record("a", 1);
-  EXPECT_EQ(tracker.record("b", 1).cumulative, 1u);
-  EXPECT_EQ(tracker.record("a", 2).cumulative, 2u);
+TEST(BatchCoverage, OriginsAreIndependent) {
+  BatchCoverage coverage;
+  (void)coverage.record("a", 1);
+  EXPECT_EQ(coverage.record("b", 1).ack.cumulative, 1u);
+  EXPECT_FALSE(coverage.record("b", 2).duplicate);
+  EXPECT_EQ(coverage.record("a", 2).ack.cumulative, 2u);
 }
 
-TEST(BatchAckTracker, SelectiveListIsBounded) {
-  BatchAckTracker tracker(/*max_selective=*/4);
-  // Seqs 10..20 with 1..9 missing: selective can't grow unbounded.
-  AckCoverage cov;
-  for (std::uint64_t seq = 10; seq <= 20; ++seq) cov = tracker.record("s", seq);
-  EXPECT_EQ(cov.cumulative, 0u);
-  EXPECT_LE(cov.selective.size(), 4u);
+TEST(BatchCoverage, SelectiveListIsBounded) {
+  BatchCoverage coverage;
+  // Seqs 10..200 with 1..9 missing: the ack carries the arriving seq plus
+  // a bounded number of others, while the record keeps every seq.
+  BatchCoverage::Verdict v;
+  for (std::uint64_t seq = 10; seq <= 200; ++seq)
+    v = coverage.record("s", seq);
+  EXPECT_EQ(v.ack.cumulative, 0u);
+  ASSERT_EQ(v.ack.selective.size(), BatchCoverage::kMaxSelective);
+  EXPECT_EQ(v.ack.selective[0], 200u);
+  for (std::uint64_t seq = 1; seq <= 9; ++seq) v = coverage.record("s", seq);
+  EXPECT_EQ(v.ack.cumulative, 200u);
+  EXPECT_TRUE(v.ack.selective.empty());
+}
+
+TEST(BatchCoverage, RetransmitLongAfterDeliveryIsStillDuplicate) {
+  // A retransmit can arrive after hundreds of newer batches (256 small
+  // batches take a few ms, under the RTO floor). It must not be delivered
+  // a second time however much newer traffic came in between.
+  BatchCoverage coverage;
+  (void)coverage.record("s", 1);
+  for (std::uint64_t seq = 3; seq <= 1000; ++seq)
+    ASSERT_FALSE(coverage.record("s", seq).duplicate);
+  EXPECT_TRUE(coverage.record("s", 1).duplicate);
+  EXPECT_TRUE(coverage.record("s", 3).duplicate);  // parked above a gap
+  EXPECT_FALSE(coverage.record("s", 2).duplicate);
+  EXPECT_TRUE(coverage.record("s", 500).duplicate);
+}
+
+TEST(BatchCoverage, LateGapFillCoversEverythingParkedAboveIt) {
+  // seq 1 arrives, 2 is late, 3..67 arrive, then 2. The record keeps every
+  // parked seq, so the late fill moves cumulative to 67, and a later
+  // duplicate of 100 gets an ack that covers it.
+  BatchCoverage coverage;
+  (void)coverage.record("s", 1);
+  for (std::uint64_t seq = 3; seq <= 67; ++seq) (void)coverage.record("s", seq);
+  EXPECT_EQ(coverage.record("s", 2).ack.cumulative, 67u);
+  for (std::uint64_t seq = 68; seq <= 167; ++seq)
+    (void)coverage.record("s", seq);
+  const BatchCoverage::Verdict v = coverage.record("s", 100);
+  EXPECT_TRUE(v.duplicate);
+  EXPECT_EQ(v.ack.cumulative, 167u);
 }
 
 }  // namespace

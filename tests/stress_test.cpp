@@ -114,7 +114,7 @@ TEST(Stress, MixedWorkloadMpiTunnelsStatus) {
   });
   std::thread fs_thread([&] {
     for (int i = 0; i < 10; ++i) {
-      const std::string name = "f" + std::to_string(i);
+      const std::string name = std::string("f").append(std::to_string(i));
       if (!fs0.value()->put(token.value(), "u", "site1", name,
                             Bytes(100, static_cast<std::uint8_t>(i)))
                .is_ok())
@@ -157,6 +157,38 @@ TEST(Stress, WideApp) {
   std::set<std::string> sites_used;
   for (const auto& p : result.placements) sites_used.insert(p.site);
   EXPECT_EQ(sites_used.size(), 4u);
+}
+
+TEST(Stress, RepeatedLaunchesOnOneSiteNeverHang) {
+  // Two senders sharing one data link (proxy strands fanning into a node
+  // link, rank threads sharing a node agent's link) once could draw the
+  // same batch seq; the receiver then dropped one rank message as a
+  // duplicate and the app hung until its deadline, about 1 launch in
+  // 4,000. Every launch here must finish well inside its 2 s deadline.
+  mpi::AppRegistry::instance().register_app(
+      "launch-allreduce", [](mpi::Comm& comm) -> Status {
+        Result<double> sum = comm.allreduce(1.0, mpi::ReduceOp::kSum);
+        if (!sum.is_ok()) return sum.status();
+        return sum.value() == comm.size()
+                   ? Status::ok()
+                   : error(ErrorCode::kInternal, "bad allreduce");
+      });
+  auto grid = build_grid(1, 4, 113);
+  ASSERT_NE(grid, nullptr);
+  auto token = grid->login("site0", "u", "p");
+  ASSERT_TRUE(token.is_ok());
+  auto scheduler = sched::make_round_robin_scheduler();
+  int failures = 0;
+  for (int i = 0; i < 2000 && failures < 3; ++i) {
+    const proxy::AppRunResult result = grid->proxy("site0").run_app(
+        "u", token.value(), "launch-allreduce", 8, *scheduler, {},
+        2 * kMicrosPerSecond);
+    if (!result.status.is_ok()) {
+      ++failures;
+      ADD_FAILURE() << "launch " << i << ": " << result.status.to_string();
+    }
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 TEST(Stress, LargeMessagesAcrossSites) {
